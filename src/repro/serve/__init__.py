@@ -3,16 +3,17 @@
 Where :mod:`repro.exec` distributes one caller's grid across processes,
 :mod:`repro.serve` multiplexes *many callers* onto one executor:
 
-- :mod:`repro.serve.service` — :class:`StudyService`, an asyncio
-  single-flight layer: concurrent identical requests (same
-  :func:`~repro.exec.speckey.spec_key`) collapse to one execution,
-  compatible requests micro-batch into shared
-  :meth:`~repro.exec.executor.ExperimentExecutor.run_many` submissions,
-  and admission control rejects (with a ``retry_after`` hint) instead of
-  queueing without bound.  :meth:`~StudyService.drain` completes all
+- :mod:`repro.serve.service` — the asyncio front end both backends
+  share, and :class:`StudyService`, its in-process backend: concurrent
+  identical requests (same :func:`~repro.exec.speckey.spec_key`)
+  collapse to one execution, compatible requests micro-batch into
+  shared :meth:`~repro.exec.executor.ExperimentExecutor.run_many`
+  submissions, admission control rejects (with a ``retry_after`` hint)
+  instead of queueing without bound, and per-request deadlines raise
+  :class:`DeadlineExceeded`.  :meth:`~StudyService.drain` completes all
   admitted work while refusing new requests.
 - :mod:`repro.serve.cluster` — :class:`StudyCluster`, the sharded
-  front end: N worker processes (own executor + in-memory L1, shared
+  backend: N worker processes (own executor + in-memory L1, shared
   on-disk L2) behind a :class:`~repro.serve.router.ShardRouter` that
   consistent-hashes :func:`~repro.exec.speckey.spec_key`, making the
   per-shard single-flight globally single-flight.  Self-healing by
@@ -20,7 +21,7 @@ Where :mod:`repro.exec` distributes one caller's grid across processes,
   them, and replays their in-flight requests.
 - :mod:`repro.serve.breaker` — :class:`CircuitBreaker`, the
   deterministic per-shard closed → open → half-open state machine
-  that routes traffic to the degraded fallback path while a shard
+  that routes traffic to the degraded fallback lane while a shard
   flaps.
 - :mod:`repro.serve.router` — the consistent-hash ring (stable,
   balanced, minimally disruptive on resize).

@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -86,22 +87,22 @@ async def _replay(service, groups: "list[RequestGroup]") -> dict:
     return tally
 
 
-def _cache_stats(target) -> "tuple[int, int, int]":
-    """(executed, l1_hits, l2_hits) for a service or a drained cluster."""
-    if isinstance(target, StudyCluster):
-        return (
-            target.stats.executed,
-            target.stats.l1_hits,
-            target.stats.l2_hits,
-        )
-    xs = target.executor.stats
-    return xs.executed, xs.l1_hits, xs.hits
+def _strict_json(value):
+    """``value`` with every non-finite float replaced by ``None``: JSON
+    has no Infinity, and a shard that saw no requests has an infinite
+    balance ratio."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return value
 
 
 def _scoreboard(target, tally: Optional[dict]) -> str:
     stats = target.stats
     lat = stats.latency_summary()
-    executed, l1_hits, l2_hits = _cache_stats(target)
     rows = [
         ["requests", stats.requests],
     ]
@@ -116,33 +117,32 @@ def _scoreboard(target, tally: Optional[dict]) -> str:
     rows += [
         ["batches", stats.batches],
         ["flights executed", stats.flights],
-        ["simulations executed", executed],
-        ["L1 hits (in-memory)", l1_hits],
-        ["L2 hits (result cache)", l2_hits],
+        ["simulations executed", stats.executed],
+        ["L1 hits (in-memory)", stats.l1_hits],
+        ["L2 hits (result cache)", stats.l2_hits],
         ["latency p50 [ms]", round(lat["p50"] * 1e3, 3)],
         ["latency p95 [ms]", round(lat["p95"] * 1e3, 3)],
         ["latency p99 [ms]", round(lat["p99"] * 1e3, 3)],
     ]
-    if isinstance(target, StudyCluster):
-        rows.append(["shards", target.stats.shards])
+    if stats.shards:
+        rows.append(["shards", stats.shards])
         rows.append(
             ["requests by shard",
-             "/".join(str(n) for n in target.stats.requests_by_shard)]
+             "/".join(str(n) for n in stats.requests_by_shard)]
         )
-        ratio = target.stats.balance_ratio()
+        ratio = stats.balance_ratio()
         rows.append(
             ["shard balance (max/min)",
              "inf" if ratio == float("inf") else round(ratio, 3)]
         )
         if target.self_heal:
             rows += [
-                ["shard crashes", target.stats.shard_crashes],
-                ["  respawned", target.stats.respawns],
-                ["  flights replayed", target.stats.replayed],
-                ["  served via fallback", target.stats.fallbacks],
+                ["shard crashes", stats.shard_crashes],
+                ["  respawned", stats.respawns],
+                ["  flights replayed", stats.replayed],
+                ["  served via fallback", stats.fallbacks],
                 ["  breaker opens/closes",
-                 f"{target.stats.breaker_opens}/"
-                 f"{target.stats.breaker_closes}"],
+                 f"{stats.breaker_opens}/{stats.breaker_closes}"],
             ]
     return ascii_table(["serve", "value"], rows)
 
@@ -412,15 +412,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "or lower the offered load",
                 file=sys.stderr,
             )
-        executed, _, _ = _cache_stats(target)
         board = scoreboard(
             report,
-            executed,
-            per_shard=(
-                target.stats.requests_by_shard
-                if isinstance(target, StudyCluster)
-                else None
-            ),
+            target.stats.executed,
+            per_shard=target.stats.requests_by_shard or None,
         )
         print(
             f"Replayed {board['requests']} zipf(s={args.zipf}) "
@@ -451,13 +446,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "serve": target.stats.as_dict(),
             "drained_clean": drained_clean,
         }
-    if not isinstance(target, StudyCluster):
+    if not target.stats.shards:
         json_payload["executor"] = target.executor.stats.as_dict()
 
     if args.json:
-        blob = (
-            json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
-        )
+        blob = json.dumps(
+            _strict_json(json_payload), indent=2, sort_keys=True,
+            allow_nan=False,
+        ) + "\n"
         if args.json == "-":
             print(blob, end="")
         else:
@@ -473,16 +469,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 2
 
     ok = drained_clean
-    executed, l1_hits, l2_hits = _cache_stats(target)
+    stats = target.stats
     if args.expect_dedupe is not None:
-        got = target.stats.dedup_hits + l1_hits + l2_hits
+        got = stats.dedup_hits + stats.l1_hits + stats.l2_hits
         if got < args.expect_dedupe:
             print(f"CHECK FAILED: deduped {got} < expected "
                   f"{args.expect_dedupe}", file=sys.stderr)
             ok = False
     if args.expect_max_executed is not None:
-        if executed > args.expect_max_executed:
-            print(f"CHECK FAILED: executed {executed} > allowed "
+        if stats.executed > args.expect_max_executed:
+            print(f"CHECK FAILED: executed {stats.executed} > allowed "
                   f"{args.expect_max_executed}", file=sys.stderr)
             ok = False
     return 0 if ok else 1

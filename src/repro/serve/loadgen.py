@@ -434,7 +434,7 @@ def scoreboard(
     balance, and the deterministic digest.
 
     ``executed`` is the number of simulations the target actually ran
-    (executor stats for a service, summed worker stats for a cluster);
+    (``target.stats.executed`` on either front end);
     ``per_shard`` is the cluster's request balance, when there is one.
     The ``digest`` covers only seed-determined data — universe keys,
     sequence, response payloads, error count — so it is invariant
@@ -448,7 +448,10 @@ def scoreboard(
     """
     n = report.mix.n_requests
     dedupe = n - executed
-    stats = ServeStats(latencies=[x for x in report.latencies if x is not None])
+    stats = ServeStats(
+        latencies=[x for x in report.latencies if x is not None],
+        requests_by_shard=list(per_shard or ()),
+    )
     deterministic = {
         "universe_keys": [spec_key(s) for s in report.mix.universe],
         "zipf_s": report.mix.s,
@@ -480,10 +483,6 @@ def scoreboard(
         "digest": digest,
     }
     if per_shard is not None:
-        per_shard = list(per_shard)
-        low = min(per_shard) if per_shard else 0
-        out["requests_by_shard"] = per_shard
-        out["balance_ratio"] = (
-            (max(per_shard) / low) if low else float("inf")
-        )
+        out["requests_by_shard"] = stats.requests_by_shard
+        out["balance_ratio"] = stats.balance_ratio()
     return out
