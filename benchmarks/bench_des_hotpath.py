@@ -1,29 +1,24 @@
 #!/usr/bin/env python
-"""DES/MPI hot-path benchmark: legacy delivery vs the indexed fast path.
+"""DES/MPI hot-path benchmark: absolute wall time and events/s.
 
-Runs the two figure-shaped workloads the optimisation targets and times
-both delivery implementations *in the same process*:
+Runs the two figure-shaped workloads the simulator core is optimised
+for, on the one hot path the product code has:
 
-- ``legacy``: Store + closure-predicate matching, one generator process
-  per message (``set_default_delivery(True)``), seed-style allocating
-  link wake-ups (``set_legacy_wakes(True)``), the seed's per-event step
-  loop (``set_legacy_step_loop(True)``), collective fast path off — the
-  pre-optimisation hot path end to end.
-- ``fast``: indexed ``MessageQueue`` matching and the allocation-free
-  callback delivery chain; on the Fig. 3 shape the analytic collective
-  short-circuit is additionally enabled (recorded per arm in the output
-  as ``collective_fastpath`` — the Fig. 1 grid packs several ranks per
-  node and is structurally ineligible, so it measures the delivery chain
-  alone).
+- ``fig3_grid``: the Fig. 3 MareNostrum4 grid (NODE granularity, one
+  DES endpoint per node).  Its collectives take the analytic fast path
+  (:mod:`repro.mpi.fastpath`), which cuts the event count about 3x;
+- ``fig1_grid``: the Fig. 1 Lenox grid (RANK granularity, several ranks
+  per node).  It is structurally ineligible for the fast path and
+  measures matching, the delivery chain and the fair-share links.
 
-Both arms must produce identical simulated results (elapsed seconds,
-message counts, phase profile) for every run — the benchmark asserts
-this, so a timing win can never hide a semantic regression.
-
-Wall-clock is best-of ``--repeats`` over un-instrumented runs; one extra
-instrumented pass per arm collects ``des.events_executed`` (identical
-across repeats — the simulation is deterministic), from which
-``events_per_second`` is derived against the un-instrumented wall-clock.
+Per workload the report holds the best-of-``--repeats`` wall seconds of
+un-instrumented runs, ``events_executed`` from one extra pass under an
+:class:`~repro.obs.Observability` that records only ``mpi.collective``
+(per-message ``mpi.send``/``mpi.deliver`` records would force the
+simulated schedule, so this pass counts the same run that was timed),
+``events_per_second``, the wall time divided by a fixed pure-Python
+calibration loop (``normalised_wall``), and a SHA-256 fingerprint of the
+full results.
 
 Usage::
 
@@ -31,14 +26,18 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_des_hotpath.py --quick    # CI
     PYTHONPATH=src python benchmarks/bench_des_hotpath.py --quick --check
 
-``--check`` compares the measured speedups against the committed
-baseline (``benchmarks/BENCH_hotpath_baseline.json``) and exits
-non-zero when any workload's speedup fell more than 25 % below it.
+``--check`` compares against the committed baseline
+(``benchmarks/BENCH_hotpath_baseline.json``) and exits non-zero when a
+workload's ``events_executed`` or result fingerprint differs at all, or
+its ``normalised_wall`` is more than 25 % above the baseline.  The event
+count is deterministic; on ``fig3_grid`` it grows about 3x if the
+collective fast path silently stops engaging.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -55,39 +54,41 @@ from repro.core.experiment import (  # noqa: E402
     ExperimentSpec,
 )
 from repro.core.runner import ExperimentRunner  # noqa: E402
+from repro.core.study import FIG3_NODES, ScalabilityStudy  # noqa: E402
 from repro.hardware import catalog  # noqa: E402
-from repro.des.engine import set_legacy_step_loop  # noqa: E402
-from repro.des.links import set_legacy_wakes  # noqa: E402
-from repro.mpi.comm import set_default_delivery  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 
-#: A measured speedup below ``baseline / REGRESSION_FACTOR`` fails --check.
+#: A normalised wall time above ``baseline * REGRESSION_FACTOR`` fails
+#: --check.
 REGRESSION_FACTOR = 1.25
 
 
-def fig3_specs(quick: bool, fastpath: bool) -> list[ExperimentSpec]:
-    """One Fig. 3-shaped ScalabilityStudy point (64 nodes; 16 in quick
-    mode), NODE granularity — one DES endpoint per node."""
+def fig3_specs(quick: bool) -> list[ExperimentSpec]:
+    """The ScalabilityStudy grid (three variants x 4..256 MareNostrum4
+    nodes; 4..32 in quick mode), NODE granularity — one DES endpoint per
+    node."""
     cluster = catalog.MARENOSTRUM4
-    n = 16 if quick else 64
+    nodes = FIG3_NODES[:4] if quick else FIG3_NODES
+    workmodel = calibration.mn4_fsi_workmodel()
     return [
         ExperimentSpec(
-            name=f"bench-fig3-{n}n",
+            name=f"bench-fig3-{rt}-{n}n",
             cluster=cluster,
-            runtime_name="singularity",
-            technique=BuildTechnique.SYSTEM_SPECIFIC,
-            workmodel=calibration.mn4_fsi_workmodel(),
+            runtime_name=rt,
+            technique=tech,
+            workmodel=workmodel,
             n_nodes=n,
             ranks_per_node=cluster.node.cores,
             threads_per_rank=1,
             sim_steps=2,
             granularity=EndpointGranularity.NODE,
-            collective_fastpath=fastpath,
         )
+        for _, rt, tech in ScalabilityStudy.VARIANTS
+        for n in nodes
     ]
 
 
-def fig1_specs(quick: bool, fastpath: bool) -> list[ExperimentSpec]:
+def fig1_specs(quick: bool) -> list[ExperimentSpec]:
     """The ContainerSolutionsStudy grid (runtime x ranks-x-threads on 4
     Lenox nodes, RANK granularity); a 2x2 corner of it in quick mode."""
     cluster = catalog.LENOX
@@ -114,90 +115,66 @@ def fig1_specs(quick: bool, fastpath: bool) -> list[ExperimentSpec]:
             threads_per_rank=threads,
             sim_steps=2,
             granularity=EndpointGranularity.RANK,
-            collective_fastpath=fastpath,
         )
         for rt, tech in runtimes
         for ranks, threads in configs
     ]
 
 
-WORKLOADS = {
-    # name -> (spec factory, fast arm enables the collective short-circuit)
-    "fig3_64n": (fig3_specs, True),
-    "fig1_grid": (fig1_specs, False),
-}
+WORKLOADS = {"fig3_grid": fig3_specs, "fig1_grid": fig1_specs}
 
 
-def _run_specs(specs: list[ExperimentSpec], obs=None):
+def calibrate() -> float:
+    """Time of a fixed pure-Python loop: the host's current speed."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(1_000_000):
+        acc = (acc + i * i) % 1_000_003
+    return time.perf_counter() - t0
+
+
+def fingerprint(results) -> str:
+    """SHA-256 of every result field (floats as exact reprs)."""
+    blob = json.dumps(
+        [r.to_json_dict() for r in results], sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def bench_workload(specs: list[ExperimentSpec], repeats: int) -> dict:
     runner = ExperimentRunner()
-    return [runner.run(s, obs=obs) for s in specs]
-
-
-def _result_fingerprint(results) -> list[tuple]:
-    """The simulated observables both arms must agree on exactly."""
-    return [
-        (
-            r.spec_name,
-            r.elapsed_seconds,
-            r.messages,
-            r.internode_messages,
-            r.phases,
+    # The host's speed drifts: calibrate around every timed pass and
+    # normalise the best wall time by the best calibration.
+    calib_s = calibrate()
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        results = [runner.run(s) for s in specs]
+        best = min(best, time.perf_counter() - t0)
+        calib_s = min(calib_s, calibrate())
+    obs = Observability(categories=("mpi.collective",))
+    digest = fingerprint(results)
+    if fingerprint([runner.run(s, obs=obs) for s in specs]) != digest:
+        raise SystemExit(
+            "the counting pass disagrees with the timed runs: observing "
+            "a run changed its simulated results"
         )
-        for r in results
-    ]
-
-
-def bench_arm(
-    specs: list[ExperimentSpec], legacy: bool, repeats: int
-) -> dict:
-    set_default_delivery(legacy)
-    set_legacy_wakes(legacy)
-    set_legacy_step_loop(legacy)
-    try:
-        best = float("inf")
-        results = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            results = _run_specs(specs)
-            best = min(best, time.perf_counter() - t0)
-        obs = Observability()
-        _run_specs(specs, obs=obs)
-        events = int(obs.metrics.counter("des.events_executed").value)
-        matched_fast = int(
-            obs.metrics.counter("mpi.messages_matched_fast").value
-        )
-    finally:
-        set_default_delivery(False)
-        set_legacy_wakes(False)
-        set_legacy_step_loop(False)
+    events = int(obs.metrics.value_of("des.events_executed"))
     return {
         "wall_seconds": best,
+        "calibration_seconds": calib_s,
+        "normalised_wall": best / calib_s,
         "events_executed": events,
         "events_per_second": events / best if best > 0 else 0.0,
         "messages": sum(r.messages for r in results),
-        "messages_matched_fast": matched_fast,
-        "collective_fastpath": any(s.collective_fastpath for s in specs),
-        "_fingerprint": _result_fingerprint(results),
-    }
-
-
-def bench_workload(name: str, quick: bool, repeats: int) -> dict:
-    factory, fastpath_in_fast_arm = WORKLOADS[name]
-    legacy = bench_arm(factory(quick, False), legacy=True, repeats=repeats)
-    fast = bench_arm(
-        factory(quick, fastpath_in_fast_arm), legacy=False, repeats=repeats
-    )
-    if legacy.pop("_fingerprint") != fast.pop("_fingerprint"):
-        raise SystemExit(
-            f"{name}: legacy and fast arms disagree on simulated results "
-            "— the benchmark refuses to report a speedup over a semantic "
-            "change"
-        )
-    return {
-        "legacy": legacy,
-        "fast": fast,
-        "speedup": legacy["wall_seconds"] / fast["wall_seconds"],
-        "identical_results": True,
+        "messages_matched_fast": int(
+            obs.metrics.value_of("mpi.messages_matched_fast")
+        ),
+        "fastpath_fallbacks": int(
+            obs.metrics.value_of("mpi.fastpath_fallbacks")
+        ),
+        "fingerprint": digest,
     }
 
 
@@ -206,15 +183,30 @@ def check(report: dict, baseline_path: str) -> int:
         baseline = json.load(f)
     section = baseline["quick" if report["quick"] else "full"]
     failures = []
-    for name, ref_speedup in section.items():
-        measured = report["workloads"][name]["speedup"]
-        floor = ref_speedup / REGRESSION_FACTOR
-        status = "ok" if measured >= floor else "REGRESSION"
+    for name, ref in section.items():
+        got = report["workloads"][name]
+        ceiling = ref["normalised_wall"] * REGRESSION_FACTOR
+        problems = []
+        if got["events_executed"] != ref["events_executed"]:
+            problems.append(
+                f"events_executed {got['events_executed']} != "
+                f"{ref['events_executed']}"
+            )
+        if got["fingerprint"] != ref["fingerprint"]:
+            problems.append("result fingerprint changed")
+        if got["normalised_wall"] > ceiling:
+            problems.append(
+                f"normalised wall {got['normalised_wall']:.3f} > "
+                f"{ceiling:.3f}"
+            )
         print(
-            f"check {name}: speedup {measured:.2f}x vs baseline "
-            f"{ref_speedup:.2f}x (floor {floor:.2f}x) {status}"
+            f"check {name}: normalised wall {got['normalised_wall']:.3f} "
+            f"(baseline {ref['normalised_wall']:.3f}, ceiling "
+            f"{ceiling:.3f}), events {got['events_executed']} "
+            f"(baseline {ref['events_executed']}) "
+            f"{'; '.join(problems) or 'ok'}"
         )
-        if measured < floor:
+        if problems:
             failures.append(name)
     if failures:
         print(f"FAILED: hot-path regression in {', '.join(failures)}")
@@ -226,11 +218,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--quick", action="store_true",
-        help="small shapes for CI smoke (16-node Fig. 3, 2x2 Fig. 1 grid)",
+        help="small shapes for CI smoke (Fig. 3 grid to 32 nodes, 2x2 Fig. 1)",
     )
     ap.add_argument(
         "--check", action="store_true",
-        help="fail if any speedup regressed >25%% vs the committed baseline",
+        help="fail on any events/fingerprint change or a >25%% slower "
+             "normalised wall time vs the committed baseline",
     )
     ap.add_argument(
         "--repeats", type=int, default=1,
@@ -247,20 +240,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "quick": bool(args.quick),
         "repeats": args.repeats,
         "workloads": {},
     }
-    for name in WORKLOADS:
-        wl = bench_workload(name, args.quick, args.repeats)
+    for name, factory in WORKLOADS.items():
+        wl = bench_workload(factory(args.quick), args.repeats)
         report["workloads"][name] = wl
         print(
-            f"{name}: legacy {wl['legacy']['wall_seconds']:.3f}s "
-            f"-> fast {wl['fast']['wall_seconds']:.3f}s "
-            f"({wl['speedup']:.2f}x, "
-            f"{wl['fast']['events_per_second']:.0f} events/s, "
-            f"results identical)"
+            f"{name}: {wl['wall_seconds']:.3f}s wall "
+            f"({wl['normalised_wall']:.3f} calibration units), "
+            f"{wl['events_executed']} events, "
+            f"{wl['events_per_second']:.0f} events/s"
         )
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)

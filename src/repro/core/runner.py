@@ -13,6 +13,7 @@ from repro.des.engine import Environment
 from repro.faults.injector import FaultInjector
 from repro.hardware.cluster import Cluster
 from repro.mpi.comm import SimComm
+from repro.mpi.fastpath import FastPathRefused
 from repro.mpi.launcher import MpiJob
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
@@ -48,7 +49,45 @@ class ExperimentRunner:
     def run(self, spec: ExperimentSpec, obs=None) -> ExperimentResult:
         """Execute ``spec``; thread ``obs`` (an
         :class:`repro.obs.span.Observability`) through every pipeline stage
-        when given."""
+        when given.
+
+        Eligible collectives take the analytic fast path
+        (:mod:`repro.mpi.fastpath`).  When a session refuses it
+        (:class:`~repro.mpi.fastpath.FastPathRefused`), the spec is run
+        once more on the simulated schedule: ``obs`` is first rolled
+        back to its state before the attempt, so it ends up holding
+        exactly what a never-fast run writes, plus one
+        ``mpi.fastpath_fallbacks`` count.
+
+        Two kinds of run keep the simulated schedule from the start (and
+        skip the checkpoint): an armed fault plan, because a link degrade
+        or straggler firing after a session resolved would silently
+        invalidate its closed form; and an ``obs`` whose records want
+        ``mpi.send``/``mpi.deliver``, which only the simulated schedule
+        materialises.
+        """
+        faulted = spec.fault_plan is not None and not spec.fault_plan.is_empty
+        per_message = obs is not None and (
+            obs.records.wants("mpi.send") or obs.records.wants("mpi.deliver")
+        )
+        if faulted or per_message:
+            return self._attempt(spec, obs, collective_fastpath=False)
+        state = obs.checkpoint() if obs is not None else None
+        try:
+            return self._attempt(spec, obs, collective_fastpath=True)
+        except FastPathRefused:
+            if obs is not None:
+                obs.rollback(state)
+            result = self._attempt(spec, obs, collective_fastpath=False)
+            if obs is not None:
+                obs.metrics.counter("mpi.fastpath_fallbacks").inc()
+            return result
+
+    def _attempt(
+        self, spec: ExperimentSpec, obs, collective_fastpath: bool
+    ) -> ExperimentResult:
+        """One pass of the pipeline; ``collective_fastpath=False`` forces
+        the simulated collective schedule."""
         # Lazy: repro.workloads imports the Alya app and calibration,
         # which import this package — top-level would be circular.
         from repro.workloads import get_workload
@@ -119,7 +158,7 @@ class ExperimentRunner:
         comm = SimComm(
             env, cluster, rankmap, perf,
             tracer=obs.records if obs is not None else None,
-            collective_fastpath=spec.collective_fastpath,
+            collective_fastpath=collective_fastpath,
         )
 
         def main():
@@ -183,7 +222,7 @@ class ExperimentRunner:
                 job_comm = SimComm(
                     env, cluster, rankmap, perf,
                     tracer=obs.records if obs is not None else None,
-                    collective_fastpath=spec.collective_fastpath,
+                    collective_fastpath=collective_fastpath,
                 )
             outcome["job"] = result
             outcome["deploy"] = deploy_report

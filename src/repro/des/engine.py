@@ -24,21 +24,6 @@ class SimulationError(RuntimeError):
     """Raised for engine-level errors (e.g. unhandled failed events)."""
 
 
-#: Benchmark knob: when True, :meth:`Environment.run` drains the queue by
-#: calling :meth:`Environment.step` per event — the pre-optimisation loop
-#: shape (method call, property-based error check, no single-callback
-#: fast path) — instead of the inlined :meth:`Environment._drain`.
-#: Semantics are identical; only the interpreter overhead differs.
-#: ``benchmarks/bench_des_hotpath.py`` turns this on for its legacy arm.
-_LEGACY_STEP_LOOP = False
-
-
-def set_legacy_step_loop(legacy: bool) -> None:
-    """Toggle the seed-style step loop (see :data:`_LEGACY_STEP_LOOP`)."""
-    global _LEGACY_STEP_LOOP
-    _LEGACY_STEP_LOOP = bool(legacy)
-
-
 class Interrupt(Exception):
     """Thrown into a process by :meth:`Process.interrupt`.
 
@@ -311,34 +296,6 @@ class Environment:
                 raise value
             raise SimulationError(f"unhandled failed event with value {value!r}")
 
-    def _step_legacy(self) -> None:
-        """The seed's per-event step body: plain callback loop and
-        property-based error check, no single-callback fast path.  Kept
-        (behind :func:`set_legacy_step_loop`) so the hot-path benchmark's
-        baseline arm reproduces the pre-optimisation loop faithfully."""
-        wheel = self._wheel
-        when = wheel.peek_time()
-        if when <= self._now:
-            _, event = wheel.pop()
-        elif self._ring:
-            event = self._ring.popleft()
-        else:
-            when, event = wheel.pop()
-            self._now = when
-        self.events_executed += 1
-        if self._step_hook is not None:
-            self._step_hook(event, self._now)
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(event)
-        if not event.ok and not event.defused:
-            value = event.value
-            if isinstance(value, BaseException):
-                raise value
-            raise SimulationError(f"unhandled failed event with value {value!r}")
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 
@@ -358,16 +315,8 @@ class Environment:
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time} is in the past (now={self._now})")
         if stop_event is None and stop_time == float("inf"):
-            if _LEGACY_STEP_LOOP:
-                while self._wheel or self._ring:
-                    self._step_legacy()
-                return None
             self._drain()
             return None
-        # Bounded runs honour the legacy toggle too: the benchmark's
-        # baseline arm must take the seed's step body on every path, not
-        # just the unbounded drain.
-        step = self._step_legacy if _LEGACY_STEP_LOOP else self.step
         while self._wheel or self._ring:
             if stop_event is not None and stop_event.processed:
                 if not stop_event.ok:
@@ -377,7 +326,7 @@ class Environment:
             if self.peek() > stop_time:
                 self._now = stop_time
                 return None
-            step()
+            self.step()
         if stop_event is not None:
             if stop_event.processed:
                 if not stop_event.ok:

@@ -71,6 +71,16 @@ class Tracer:
             self.dropped_by_category.get(category, 0) + 1
         )
 
+    def checkpoint(self) -> tuple:
+        """State for :meth:`rollback` (records are only ever appended)."""
+        return len(self.records), self.dropped, dict(self.dropped_by_category)
+
+    def rollback(self, state: tuple) -> None:
+        """Forget everything recorded since the :meth:`checkpoint`."""
+        n, self.dropped, dropped_by_category = state
+        del self.records[n:]
+        self.dropped_by_category = dict(dropped_by_category)
+
     # -- queries ---------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.records)

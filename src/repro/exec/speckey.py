@@ -32,7 +32,9 @@ from repro.core.experiment import ExperimentSpec
 #: v3: specs carry a ``workload`` field (the registry name); payloads
 #: gained a key, so every pre-workload entry must read as a miss rather
 #: than alias the Alya default.
-KEY_VERSION = 3
+#: v4: the ``collective_fastpath`` field is gone (the fast path is an
+#: automatic, exact decision); v3 payloads carried it, so they must miss.
+KEY_VERSION = 4
 
 
 def _set_sort_key(canon: Any) -> "tuple[str, str]":

@@ -457,9 +457,16 @@ class SimComm:
         ``False`` the indexed/callback hot path; ``None`` (default)
         follows :func:`set_default_delivery`.
     collective_fastpath:
-        Opt in to the analytic collective short-circuit
-        (:class:`repro.mpi.fastpath.CollectiveFastPath`).  Off by
-        default; see ``docs/perf.md`` for the eligibility rule.
+        Allow the analytic collective short-circuit
+        (:class:`repro.mpi.fastpath.CollectiveFastPath`; eligibility in
+        ``docs/perf.md``).  When ``True`` it engages whenever it is
+        usable unless ``tracer`` wants ``mpi.send``/``mpi.deliver``
+        records, which only the simulated schedule materialises.  Off
+        by default: a session that is not provably contention-free
+        raises :class:`~repro.mpi.fastpath.FastPathRefused`, and only
+        :meth:`repro.core.runner.ExperimentRunner.run` catches that and
+        re-runs on the simulated schedule — it passes ``True`` for its
+        first attempt.
     """
 
     def __init__(
@@ -511,9 +518,12 @@ class SimComm:
         self._trace_deliver = (
             tracer is not None and tracer.wants("mpi.deliver")
         )
-        #: Opt-in analytic collective short-circuit (None when disabled).
+        #: Analytic collective short-circuit (None when disabled).
         self.fastpath = (
-            CollectiveFastPath(self) if collective_fastpath else None
+            CollectiveFastPath(self)
+            if collective_fastpath
+            and not (self._trace_send or self._trace_deliver)
+            else None
         )
         # Traffic accounting for reports/ablations.
         self.messages_sent = 0
@@ -704,7 +714,7 @@ class GroupComm:
         self.parent = parent
         self.members = members
         self._to_group = {g: i for i, g in enumerate(members)}
-        #: Group-local analytic collective short-circuit (same opt-in as
+        #: Group-local analytic collective short-circuit (enabled with
         #: the parent's; eligibility is evaluated against the *member*
         #: nodes, so a group can be eligible even when the parent is not).
         self.fastpath = (

@@ -32,8 +32,14 @@ same branch (:meth:`CollectiveFastPath.usable`):
 On top of that, :meth:`_resolve` asserts at run time that every
 participating NIC is idle when the last rank enters the collective —
 outside traffic would contend with the ring flows and the closed form
-would be wrong.  The short-circuit is **opt-in**
-(``SimComm(collective_fastpath=True)``) and covers:
+would be wrong.  :meth:`repro.core.runner.ExperimentRunner.run` engages the
+short-circuit automatically (see its docstring for the two run-level
+exclusions: per-message tracing and armed faults); a bare
+:class:`~repro.mpi.comm.SimComm` only with ``collective_fastpath=True``.
+Whenever a session is not provably contention-free it raises
+:class:`FastPathRefused`, and the runner re-runs the spec on the
+simulated schedule — so the fast path either reproduces the simulated
+schedule exactly or is not used.  It covers:
 
 - the two structurally contention-free ring algorithms, ``allgather``
   and ``allreduce_ring`` (:meth:`ring_rounds`), with arbitrary entry
@@ -43,10 +49,10 @@ would be wrong.  The short-circuit is **opt-in**
   every round is a symmetric pairwise exchange, each NIC carries one
   transmit and one receive flow on its two independent pipes, and every
   rank advances as ``t' = fl(fl(t + L) + w)`` per round.  Entries that
-  are *not* exactly equal are a :class:`SimulationError` — a straggler's
-  round-``r`` flow can overlap another pair's round-``r+1`` flow on a
-  shared receive pipe, which fair-sharing would slow down and the
-  closed form would not;
+  are *not* exactly equal are refused (:class:`FastPathRefused`) — a
+  straggler's round-``r`` flow can overlap another pair's round-``r+1``
+  flow on a shared receive pipe, which fair-sharing would slow down and
+  the closed form would not;
 - **lockstep fold** ``allreduce`` on sizes ``p = 3·2^k``
   (:meth:`lockstep_fold`): Rabenseifner's pre/post remainder exchange
   folds the odd third into a power-of-two core.  During the fold round
@@ -77,7 +83,8 @@ dissemination barrier) are excluded.
 
 Observable differences (documented, by design): per-message ``mpi.send``
 / ``mpi.deliver`` trace records are not emitted (the messages are never
-materialised) and ``bytes_sent`` is accumulated in one multiply-add, so
+materialised — which is why a tracer that wants them keeps the simulated
+schedule) and ``bytes_sent`` is accumulated in one multiply-add, so
 it can differ from the per-message sum in the last ulp.  ``mpi.collective``
 records, completion times, ``messages_sent`` and ``internode_messages``
 are identical.
@@ -93,6 +100,13 @@ from repro.des.links import _EPS_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import SimComm
+
+
+class FastPathRefused(SimulationError):
+    """A collective session is not provably contention-free (staggered
+    lockstep entry, or a participating NIC busy at entry), so its closed
+    form would be wrong.  The run must be repeated on the simulated
+    schedule; :class:`~repro.core.runner.ExperimentRunner` does that."""
 
 
 class _Session:
@@ -294,11 +308,10 @@ class CollectiveFastPath:
     def _lockstep_entry(self, sess: _Session) -> float:
         t0 = sess.entry[0]
         if any(e != t0 for e in sess.entry):
-            raise SimulationError(
+            raise FastPathRefused(
                 "collective fast path: lockstep collective entered at "
                 "different times across ranks; the schedule is only "
-                "contention-free when every rank enters together "
-                "— disable collective_fastpath for staggered workloads"
+                "contention-free when every rank enters together"
             )
         return t0
 
@@ -306,12 +319,10 @@ class CollectiveFastPath:
         """The run-time idle assertion, for one rank's node."""
         node = self.comm.cluster.nodes[self.comm.node_of_rank(rank)]
         if node.nic_tx.active_flows or node.nic_rx.active_flows:
-            raise SimulationError(
+            raise FastPathRefused(
                 "collective fast path: NIC of node "
                 f"{node.node_id} busy at collective entry; the closed "
-                "form is exact only on idle links — disable "
-                "collective_fastpath for workloads that overlap "
-                "point-to-point traffic with collectives"
+                "form is exact only on idle links"
             )
 
     def _bcast_advance(self, sess: _Session, op: int) -> None:
@@ -457,15 +468,7 @@ class CollectiveFastPath:
         p = len(sess.entry)
         nbytes = sess.nbytes
         for i in range(p):
-            node = nodes[comm.node_of_rank(i)]
-            if node.nic_tx.active_flows or node.nic_rx.active_flows:
-                raise SimulationError(
-                    "collective fast path: NIC of node "
-                    f"{node.node_id} busy at collective entry; the closed "
-                    "form is exact only on idle links — disable "
-                    "collective_fastpath for workloads that overlap "
-                    "point-to-point traffic with collectives"
-                )
+            self._check_nic(i)
         link = nodes[comm.node_of_rank(0)].nic_tx
         kind = sess.kind
         if kind == "ring":

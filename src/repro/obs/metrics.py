@@ -16,6 +16,7 @@ re-bucketing.
 from __future__ import annotations
 
 import bisect
+import copy
 from typing import Iterable, Optional, Sequence
 
 #: Default histogram boundaries for durations in seconds: half-decade
@@ -216,6 +217,23 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
+
+    def checkpoint(self) -> dict:
+        """State for :meth:`rollback`: each instrument with a copy of its
+        fields."""
+        return {
+            name: (metric, copy.deepcopy(vars(metric)))
+            for name, metric in self._metrics.items()
+        }
+
+    def rollback(self, state: dict) -> None:
+        """Restore the :meth:`checkpoint` ``state`` in place: instruments
+        created since are dropped, the others get their old values back
+        (callers holding an instrument keep a live one)."""
+        self._metrics = {}
+        for name, (metric, fields) in state.items():
+            vars(metric).update(copy.deepcopy(fields))
+            self._metrics[name] = metric
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold every instrument of ``other`` into this registry."""

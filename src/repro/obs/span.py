@@ -156,6 +156,27 @@ class SpanTracer:
         finally:
             self.end(sid, env.now)
 
+    def checkpoint(self) -> tuple:
+        """State for :meth:`rollback` (stored spans are only ever
+        appended between merges)."""
+        return (
+            len(self.spans),
+            self.dropped,
+            dict(self.dropped_by_category),
+            {track: list(stack) for track, stack in self._open.items()},
+            dict(self._track_of),
+            self._next_id,
+        )
+
+    def rollback(self, state: tuple) -> None:
+        """Forget every span stored, opened or closed since the
+        :meth:`checkpoint`; span ids restart where they were."""
+        n, self.dropped, dropped_by, open_, track_of, self._next_id = state
+        del self.spans[n:]
+        self.dropped_by_category = dict(dropped_by)
+        self._open = {track: list(stack) for track, stack in open_.items()}
+        self._track_of = dict(track_of)
+
     # -- queries ------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.spans)
@@ -317,6 +338,23 @@ class Observability:
         """Point event at the current simulated time (record tracer)."""
         env = self._require_env()
         self.records.record(env.now, category, label, **data)
+
+    def checkpoint(self) -> tuple:
+        """Snapshot spans, records and metrics for :meth:`rollback`."""
+        return (
+            self.spans.checkpoint(),
+            self.records.checkpoint(),
+            self.metrics.checkpoint(),
+        )
+
+    def rollback(self, state: tuple) -> None:
+        """Restore, in place, the :meth:`checkpoint` ``state``: nothing
+        written since remains (the runner discards an aborted attempt
+        this way)."""
+        spans, records, metrics = state
+        self.spans.rollback(spans)
+        self.records.rollback(records)
+        self.metrics.rollback(metrics)
 
     def merge(self, other: "Observability") -> None:
         """Fold another run's spans, records and metrics in."""

@@ -187,10 +187,9 @@ def test_double_schedule_raises_in_wheel_path_and_step():
         env.step()
 
 
-def test_bounded_run_honours_legacy_step_loop():
-    """run(until=...) must route through the legacy step body when
-    set_legacy_step_loop() is on — and produce identical results."""
-    from repro.des.engine import set_legacy_step_loop
+def test_bounded_run_order_and_clock():
+    """run(until=<time>) and run(until=<event>) dispatch through the
+    bounded step loop: pinned (order, now) for both forms."""
 
     def workload(env, order):
         def ping(name, delay):
@@ -202,38 +201,26 @@ def test_bounded_run_honours_legacy_step_loop():
         env.process(ping("a", 1.0))
         env.process(ping("b", 1.5))
 
-    def run(legacy, until):
+    def run(until):
         env = Environment()
         order = []
         workload(env, order)
-        set_legacy_step_loop(legacy)
-        try:
-            env.run(until=until)
-        finally:
-            set_legacy_step_loop(False)
+        env.run(until=until)
         return order, env.now
 
-    for until in (2.0, 10.0):
-        fast = run(False, until)
-        slow = run(True, until)
-        assert slow == fast
+    # Events at exactly ``until`` still run; the clock lands on ``until``.
+    assert run(2.0) == ([("a", 1.0), ("b", 1.5), ("a", 2.0)], 2.0)
+    assert run(10.0) == (
+        [("a", 1.0), ("b", 1.5), ("a", 2.0), ("b", 3.0)], 10.0
+    )
 
-    # until=<event> takes the same toggle-aware path.
-    def run_until_event(legacy):
-        env = Environment()
-        order = []
-        workload(env, order)
+    env = Environment()
+    order = []
+    workload(env, order)
 
-        def probe():
-            yield env.timeout(1.25)
-            return tuple(order)
+    def probe():
+        yield env.timeout(1.25)
+        return tuple(order)
 
-        p = env.process(probe())
-        set_legacy_step_loop(legacy)
-        try:
-            got = env.run(until=p)
-        finally:
-            set_legacy_step_loop(False)
-        return got, env.now
-
-    assert run_until_event(True) == run_until_event(False)
+    got = env.run(until=env.process(probe()))
+    assert (got, env.now) == ((("a", 1.0),), 1.25)

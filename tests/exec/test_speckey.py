@@ -70,7 +70,6 @@ PERTURBATIONS = {
     "switch_topology": (
         {}, {"switch_topology": SwitchTopology(nodes_per_switch=2)},
     ),
-    "collective_fastpath": ({}, {"collective_fastpath": True}),
     "fault_plan": (
         {}, {"fault_plan": FaultPlan(seed=7, link_degrade_rate=0.1)},
     ),
@@ -182,6 +181,34 @@ def test_old_version_cache_entries_read_as_misses(tmp_path, monkeypatch):
     cache.put(spec, hand_made_result(spec.name))
     assert cache.get(spec) is not None
     assert len(cache) == 2  # both files exist; only one is reachable
+
+
+def test_version_3_entries_read_as_misses(tmp_path, monkeypatch):
+    """v3 keys hashed a ``collective_fastpath`` field that no longer
+    exists: an entry written under such a key must never be served."""
+    import hashlib
+    import json
+
+    import repro.exec.cache as cache_module
+    from repro.exec.cache import ResultCache
+
+    from .test_cache import hand_made_result
+
+    assert KEY_VERSION == 4
+    spec = make_spec()
+    payload = canonical_spec_payload(spec)
+    payload["key_version"] = 3
+    payload["spec"]["collective_fastpath"] = False
+    v3_key = hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    assert v3_key != spec_key(spec)
+    cache = ResultCache(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(cache_module, "spec_key", lambda _spec: v3_key)
+        assert cache.put(spec, hand_made_result(spec.name)).exists()
+    assert cache.get(spec) is None
+    assert spec not in cache
 
 
 def test_set_elements_canonicalise_by_type_not_str():

@@ -17,6 +17,7 @@ from repro.hardware.network import NetworkPath
 from repro.hardware.topology import NON_BLOCKING
 from repro.mpi import collectives
 from repro.mpi.comm import SimComm
+from repro.mpi.fastpath import FastPathRefused
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
 
@@ -255,7 +256,7 @@ def test_lockstep_staggered_entries_raise():
 
     for r in range(4):
         env.process(body(r))
-    with pytest.raises(SimulationError, match="entered at different times"):
+    with pytest.raises(FastPathRefused, match="entered at different times"):
         env.run()
 
 
@@ -391,5 +392,37 @@ def test_ineligible_single_rank():
 
 
 def test_off_by_default():
-    env, comm = _build(4, fastpath=False)
+    """Only the runner has the refusal fallback, so a bare communicator
+    keeps the simulated schedule unless asked."""
+    env = Environment()
+    spec = catalog.MARENOSTRUM4
+    cluster = Cluster(env, spec, num_nodes=4)
+    cluster.wire_network(NetworkPath.HOST_NATIVE)
+    perf = MpiPerf.for_fabric(spec.fabric, NetworkPath.HOST_NATIVE)
+    comm = SimComm(env, cluster, RankMap(n_ranks=4, n_nodes=4), perf)
     assert comm.fastpath is None
+
+
+@pytest.mark.parametrize(
+    "categories,engaged",
+    [
+        (None, False),  # records everything, mpi.send included
+        (("mpi.collective",), True),
+        (("mpi.send",), False),
+        (("mpi.deliver",), False),
+    ],
+)
+def test_enabled_unless_tracing_messages(categories, engaged):
+    """Only the simulated schedule materialises per-message records, so
+    a tracer that wants them keeps it; everything else engages."""
+    env = Environment()
+    spec = catalog.MARENOSTRUM4
+    cluster = Cluster(env, spec, num_nodes=4)
+    cluster.wire_network(NetworkPath.HOST_NATIVE)
+    perf = MpiPerf.for_fabric(spec.fabric, NetworkPath.HOST_NATIVE)
+    rankmap = RankMap(n_ranks=4, n_nodes=4)
+    assert SimComm(env, cluster, rankmap, perf,
+                   collective_fastpath=True).fastpath is not None
+    comm = SimComm(env, cluster, rankmap, perf, collective_fastpath=True,
+                   tracer=Tracer(categories=categories))
+    assert (comm.fastpath is not None) is engaged

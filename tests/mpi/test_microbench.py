@@ -84,3 +84,15 @@ def test_bisection_bandwidth_scales_with_pairs():
 def test_bisection_validation():
     with pytest.raises(ValueError):
         bisection_bandwidth(catalog.LENOX, NetworkPath.HOST_NATIVE, n_nodes=3)
+
+
+def test_allreduce_latency_on_a_fold_size():
+    """p = 6 folds into a power-of-two core, so repeated allreduces start
+    at different times on paired and unpaired ranks.  A bare
+    communicator keeps the simulated schedule for that (only the runner
+    can fall back from a fast-path refusal), so the probe returns a
+    latency instead of raising."""
+    latency = allreduce_latency(
+        catalog.MARENOSTRUM4, NetworkPath.HOST_NATIVE, 6, 6
+    )
+    assert latency > 0.0
