@@ -15,7 +15,9 @@ that empirically, mirroring ``bench_obs_overhead.py``:
 - ``test_no_injector_constructed_off_path`` proves the runner never even
   builds a :class:`FaultInjector` without a plan;
 - ``test_baseline_and_production_results_agree`` proves the two bodies
-  are the same physics, so the timing comparison is apples-to-apples.
+  are the same physics, so the timing comparison is apples-to-apples;
+- ``test_run_once_builds_the_given_class`` proves the class swap reaches
+  the runner, so the two timed arms really run different bodies.
 
 The timed comparison is a guard, not a measurement: the true difference
 (one ``is None`` check per step per rank) is far below the wall-clock
@@ -28,6 +30,7 @@ regression shifts *every* round above 2% and still fails.
 import time
 
 import repro.core.runner as runner_mod
+import repro.workloads.alya as alya_workload
 from repro.alya.app import PhaseTimes, SimulatedAlya
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.containers.recipes import BuildTechnique
@@ -152,15 +155,18 @@ def make_spec() -> ExperimentSpec:
 
 
 def run_once(app_cls):
-    """(wall seconds, result) of one end-to-end no-plan run."""
-    original = runner_mod.SimulatedAlya
-    runner_mod.SimulatedAlya = app_cls
+    """(wall seconds, result) of one end-to-end no-plan run.
+
+    ``app_cls`` replaces the class the ``alya`` workload's ``build_app``
+    instantiates for the duration of the run."""
+    original = alya_workload.SimulatedAlya
+    alya_workload.SimulatedAlya = app_cls
     try:
         t0 = time.perf_counter()
         result = ExperimentRunner().run(make_spec())
         return time.perf_counter() - t0, result
     finally:
-        runner_mod.SimulatedAlya = original
+        alya_workload.SimulatedAlya = original
 
 
 def measure_overhead(repeats: int = REPEATS) -> float:
@@ -188,6 +194,25 @@ def test_baseline_and_production_results_agree():
     assert production.elapsed_seconds == baseline.elapsed_seconds
     assert production.sim_span_seconds == baseline.sim_span_seconds
     assert production.messages == baseline.messages
+
+
+def test_run_once_builds_the_given_class():
+    """The patch in ``run_once`` reaches the runner: a class that refuses
+    construction must abort the run (otherwise both timed arms would
+    silently run the production body)."""
+
+    class Refused(Exception):
+        pass
+
+    class Refusing(SimulatedAlya):
+        def __init__(self, *a, **kw):
+            raise Refused
+
+    try:
+        run_once(Refusing)
+    except Refused:
+        return
+    raise AssertionError("run_once did not build the patched app class")
 
 
 def test_no_injector_constructed_off_path():
@@ -230,6 +255,7 @@ def test_faults_off_overhead_under_2pct():
 
 if __name__ == "__main__":
     test_baseline_and_production_results_agree()
+    test_run_once_builds_the_given_class()
     test_no_injector_constructed_off_path()
     test_faults_off_overhead_under_2pct()
     print("bench_fault_overhead: OK")

@@ -1,14 +1,14 @@
 """The DES event loop and generator-based processes.
 
-The :class:`Environment` keeps its future events in an array-backed
-calendar-queue wheel (:class:`repro.des.wheel.EventWheel`) keyed by
-``(time, seq)``, plus a FIFO *now-ring* for events triggered at the
-current instant; :meth:`Environment.run` pops events in order, executes
-their callbacks, and thereby resumes any :class:`Process` waiting on
-them.  Determinism: two events scheduled for the same time fire in
-scheduling order (FIFO), which makes every simulation in this package
-reproducible — the wheel's pop discipline is property-tested against a
-binary-heap reference model in ``tests/des/test_wheel.py``.
+The :class:`Environment` keeps its future events in a binary heap
+(:class:`repro.des.wheel.EventWheel`) keyed by ``(time, seq)``, plus a
+FIFO *now-ring* for events triggered at the current instant;
+:meth:`Environment.run` pops events in order, executes their callbacks,
+and thereby resumes any :class:`Process` waiting on them.  Determinism:
+two events scheduled for the same time fire in scheduling order (FIFO),
+which makes every simulation in this package reproducible — the store's
+pop discipline is property-tested against a sorted reference in
+``tests/des/test_wheel.py``.
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Future events: the calendar-queue wheel (strictly later than
-        #: ``now``; assigns the FIFO tie-break sequence numbers).
+        #: Future events: the heap store (strictly later than ``now``;
+        #: assigns the FIFO tie-break sequence numbers).
         self._wheel = EventWheel()
         #: Events due at the current instant, in trigger order.  Ring
         #: entries always precede any *later* wheel entry and follow any
@@ -343,16 +343,16 @@ class Environment:
     def _drain(self) -> None:
         """Run until the event queue empties.
 
-        Semantically identical to ``while self._queue: self.step()`` — the
-        loop body is inlined with local bindings because this is the inner
-        loop of every simulation (hundreds of thousands of iterations for
-        the paper-scale runs).
+        Semantically identical to ``while self._wheel or self._ring:
+        self.step()`` — the loop body is inlined with local bindings
+        because this is the inner loop of every simulation (hundreds of
+        thousands of iterations for the paper-scale runs).
         """
-        wheel = self._wheel
+        heap = self._wheel._heap  # never rebound: test it directly
+        wheel_pop_batch = self._wheel.pop_batch
         ring = self._ring
         ring_pop = ring.popleft
         ring_append = ring.append
-        wheel_pop_batch = wheel.pop_batch
         # The hook is installed before run() (Observability.bind) and
         # never swapped mid-drain; binding it once removes an attribute
         # load per event.
@@ -362,7 +362,7 @@ class Environment:
             while True:
                 if ring:
                     event = ring_pop()
-                elif wheel._size:
+                elif heap:
                     # Ring empty: advance the clock and promote the whole
                     # earliest-timestamp group out of the wheel in one
                     # call.  The group lands ahead of anything its

@@ -285,12 +285,12 @@ class Observability:
         # validation never triggers for these inputs), and the queue/ring
         # containers are bound once: the engine mutates them in place and
         # never rebinds.
-        wheel = env._wheel
+        heap = env._wheel._heap
         ring = env._ring
 
         def hook(event: Any, when: float) -> None:
             events.value += 1
-            d = wheel._size + len(ring)
+            d = len(heap) + len(ring)
             depth.value = d
             if depth.min is None or d < depth.min:
                 depth.min = d
