@@ -123,12 +123,11 @@ def run_naive(requests):
     return results, elapsed, executor.stats
 
 
-def run_served(requests, batch_window):
+def run_served(requests):
     executor = ExperimentExecutor(workers=1, keep_going=True)
     service = StudyService(
         executor=executor,
         max_pending=len(requests),
-        batch_window=batch_window,
         max_batch=16,
     )
 
@@ -192,7 +191,6 @@ def run_service_arm(mix: ZipfianMix):
     service = StudyService(
         executor=ExperimentExecutor(workers=1, l1=True, keep_going=True),
         max_pending=len(mix.universe),
-        batch_window=0.005,
     )
 
     async def replay():
@@ -396,7 +394,6 @@ def main(argv=None) -> int:
                     help="exit non-zero on parity/dedupe/speedup failure")
     ap.add_argument("--min-speedup", type=float, default=2.0,
                     help="wall-clock floor served must beat (default 2.0)")
-    ap.add_argument("--batch-window", type=float, default=0.01)
     ap.add_argument("--cluster", action=argparse.BooleanOptionalAction,
                     default=True,
                     help="also run the sharded-cluster scaling arms")
@@ -420,9 +417,7 @@ def main(argv=None) -> int:
           f"specs ({'quick' if args.quick else 'full'} mix)")
 
     naive_results, naive_s, naive_stats = run_naive(requests)
-    served_results, served_s, service = run_served(
-        requests, args.batch_window
-    )
+    served_results, served_s, service = run_served(requests)
 
     # Parity first: identical payload per spec across arms and requests.
     naive_blobs = payloads_by_name(naive_results)

@@ -7,7 +7,9 @@ everything that determines the simulation (see
 :mod:`repro.exec.speckey`), invalidation is automatic: change any spec
 field and the old entry is simply never looked up again.  A ``format``
 field guards against schema drift — entries written by an incompatible
-version read as misses, never as wrong data.
+version read as misses, never as wrong data.  Lookups and writes take
+the key itself, so a caller that already hashed a spec (the executor
+keys every point once per batch) never hashes it again.
 
 Corrupted or unreadable entries are treated as misses too (the point is
 recomputed and the entry rewritten); a cache must never be able to make
@@ -22,10 +24,8 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.experiment import ExperimentSpec
 from repro.core.metrics import ExperimentResult
 from repro.exec import tmpfiles
-from repro.exec.speckey import spec_key
 
 #: On-disk schema version; bump when the entry layout changes.
 CACHE_FORMAT = 1
@@ -47,14 +47,15 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def get(self, spec: ExperimentSpec) -> Optional[ExperimentResult]:
-        """The cached result for ``spec``, or None on a miss.
+    def get(self, key: str, spec_name: str) -> Optional[ExperimentResult]:
+        """The result cached under ``key`` (a :func:`spec_key`), or None
+        on a miss.
 
-        The stored ``spec_name`` is rewritten to ``spec.name`` — the key
+        The stored ``spec_name`` is rewritten to ``spec_name`` — the key
         ignores display names, so a hit may come from a differently
         labelled but physically identical run.
         """
-        path = self.path_for(spec_key(spec))
+        path = self.path_for(key)
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
@@ -70,17 +71,16 @@ class ResultCache:
             # string where a mapping belongs...) is corruption like any
             # other: a miss, never a crashed study.
             return None
-        if result.spec_name != spec.name:
-            result = dataclasses.replace(result, spec_name=spec.name)
+        if result.spec_name != spec_name:
+            result = dataclasses.replace(result, spec_name=spec_name)
         return result
 
-    def put(self, spec: ExperimentSpec, result: ExperimentResult) -> Path:
-        """Persist ``result`` under ``spec``'s key (atomic replace).
+    def put(self, key: str, result: ExperimentResult) -> Path:
+        """Persist ``result`` under ``key`` (atomic replace).
 
         The first write of a cache instance also sweeps temp files
         orphaned by crashed writers (see :mod:`repro.exec.tmpfiles`).
         """
-        key = spec_key(spec)
         path = self.path_for(key)
         self.root.mkdir(parents=True, exist_ok=True)
         if not self._swept:
@@ -96,8 +96,8 @@ class ResultCache:
         tmp.replace(path)
         return path
 
-    def __contains__(self, spec: ExperimentSpec) -> bool:
-        return self.get(spec) is not None
+    def __contains__(self, key: str) -> bool:
+        return self.get(key, "") is not None
 
     def __len__(self) -> int:
         if not self.root.is_dir():

@@ -296,7 +296,7 @@ class ExperimentExecutor:
             for i, spec in enumerate(specs):
                 if results[i] is not None:
                     continue
-                hit = self.cache.get(spec)
+                hit = self.cache.get(keys[i], spec.name)
                 if hit is not None:
                     results[i] = hit
                     cached[i] = True
@@ -364,7 +364,7 @@ class ExperimentExecutor:
             if not cached[i]:
                 self._checkpoint_point(keys[i], outcome, spec.name)
                 if self.cache is not None:
-                    self._cache_put(spec, outcome)
+                    self._cache_put(keys[i], spec, outcome)
             if self.l1 is not None:
                 # Executed results and L2 hits both promote into the L1;
                 # failures never do (a retried spec must re-execute).
@@ -468,10 +468,10 @@ class ExperimentExecutor:
         if self.checkpoint is not None and outcome is not None:
             self.checkpoint.store(key, outcome, spec_name)
 
-    def _cache_put(self, spec: ExperimentSpec, result) -> None:
+    def _cache_put(self, key: str, spec: ExperimentSpec, result) -> None:
         """Write-back that treats an unwritable cache as a warning."""
         try:
-            self.cache.put(spec, result)
+            self.cache.put(key, result)
         except (OSError, PermissionError) as exc:
             self.stats.cache_write_errors += 1
             warnings.warn(

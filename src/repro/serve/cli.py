@@ -227,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
              "when clustered; default 64)",
     )
     svc.add_argument(
-        "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help="micro-batch collection window, in-process service only "
-             "(default 0.005)",
-    )
-    svc.add_argument(
         "--max-batch", type=int, default=16, metavar="N",
         help="max flights per executor submission (default 16)",
     )
@@ -302,7 +297,6 @@ def _build_target(args):
             keep_going=True,
         ),
         max_pending=args.max_pending,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
     )
 

@@ -11,7 +11,7 @@ memo (``l1=True``) and, optionally, the shared on-disk
 :class:`~repro.exec.cache.ResultCache` as L2 — sit behind a
 :class:`~repro.serve.router.ShardRouter` that consistent-hashes every
 request's :func:`~repro.exec.speckey.spec_key`.  Each worker is one
-front-end lane with a batch window of 0:
+front-end lane:
 
 - **Global single-flight.** Identical requests always route to the same
   shard, so the front end's dedupe *is* cluster-wide dedupe: concurrent
@@ -19,10 +19,10 @@ front-end lane with a batch window of 0:
   pipe), later repeats hit the owning worker's L1.  A spec executes at
   most once per cluster lifetime, no matter which of millions of
   callers asks, how often, or when.
-- **Self-clocking batches.** Each shard has at most one outstanding
-  batch; requests arriving while the worker is busy accumulate and are
-  flushed (up to ``max_batch``) the moment its previous batch lands.
-  Under load the batch size grows automatically — no timer to tune.
+- **Self-clocking batches**, the front end's rule for every lane.  Each
+  shard has at most one outstanding batch; requests arriving while the
+  worker is busy accumulate and are flushed (up to ``max_batch``) the
+  moment its previous batch lands.
 - **Bounded admission.** At most ``max_pending`` unique specs may be in
   flight per shard; beyond that, new keys are rejected with
   :class:`~repro.serve.service.Overloaded`.

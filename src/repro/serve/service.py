@@ -34,11 +34,13 @@ Deadlines
     cancels the shared flight.
 
 Batching
-    A lane seals its next batch (at most ``max_batch`` flights) when its
-    executor is free and its batch window has closed; the window is
-    ``batch_window`` seconds for the in-process service and 0 for shard
-    lanes, which therefore batch by self-clocking: whatever queued while
-    the previous batch ran.
+    Every lane is self-clocking: it seals its next batch (at most
+    ``max_batch`` flights) the moment its executor is free and it has
+    queued flights — no timer.  A request reaching an idle lane runs at
+    once; requests arriving while a batch runs share the next batch, so
+    batch size grows with load.  The cost: with a pooled executor the
+    first flight of a burst gathered onto an idle lane runs as its own
+    batch, ahead of the rest.
 
 Drain
     :meth:`~FrontEnd.drain` stops admissions and completes every
@@ -54,12 +56,13 @@ lane per worker process plus an in-process fallback lane.
 Everything is instrumented through :mod:`repro.obs` (counters
 ``serve.requests`` / ``serve.dedup_hits`` / ``serve.rejected`` /
 ``serve.batches`` / ``serve.failures`` / ``serve.deadline_exceeded``,
-gauges ``serve.queue_depth`` / ``serve.batch_size``, histogram
-``serve.request_seconds``, and one ``serve.request`` span per completed
-request), and mirrored in :class:`ServeStats` which additionally keeps
-exact request latencies for p50/p95/p99 reporting.  Of each batch's
-executor-side observability only the metrics are folded in.  See
-``docs/serving.md``.
+gauges ``serve.queue_depth`` / ``serve.batch_size``, histograms
+``serve.request_seconds`` and ``serve.queue_wait_seconds`` (admission
+to batch sealing, per sealed flight), and one ``serve.request`` span
+per completed request), and mirrored in :class:`ServeStats` which
+additionally keeps exact request latencies for p50/p95/p99 reporting.
+Of each batch's executor-side observability only the metrics are folded
+in.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -219,7 +222,7 @@ class _Flight:
 
     __slots__ = (
         "key", "spec", "future", "lane", "shard",
-        "deadline", "deadline_s", "replays",
+        "admitted", "deadline", "deadline_s", "replays",
     )
 
     def __init__(self, key, spec, future, lane, shard, t_start, deadline):
@@ -230,6 +233,8 @@ class _Flight:
         self.lane = lane
         #: The shard owning the key (None without shards).
         self.shard = shard
+        #: Monotonic admission time (the opening request's start).
+        self.admitted = t_start
         #: Absolute (monotonic) expiry, or None.  Set by the flight's
         #: *opening* request; joiners enforce their own budget
         #: waiter-side.
@@ -246,16 +251,12 @@ class _Lane:
     and ship their batches to a worker process instead.
     """
 
-    __slots__ = ("queue", "batch", "window", "timer", "alive",
-                 "executor", "task")
+    __slots__ = ("queue", "batch", "alive", "executor", "task")
 
-    def __init__(self, window: float = 0.0, executor=None) -> None:
+    def __init__(self, executor=None) -> None:
         self.queue: deque = deque()
         #: The outstanding batch (a list of flights), or None.
         self.batch: Optional[list] = None
-        self.window = window
-        #: The open batch window's timer, or None.
-        self.timer: Optional[asyncio.TimerHandle] = None
         #: Whether the backend can take a batch now.
         self.alive = True
         self.executor = executor
@@ -328,8 +329,6 @@ class FrontEnd:
             return
         self._draining = True
         if self._started:
-            for lane in self._lanes:
-                self._flush(lane)  # seal open batch windows now
             if self._idle is None:  # shared by concurrent drains
                 self._idle = asyncio.Event()
             while self._flights:
@@ -445,13 +444,9 @@ class FrontEnd:
 
     def _retry_after(self, lane: _Lane) -> float:
         """Backpressure hint: batches needed to clear the lane's backlog
-        times one batch's turnaround (its window, at least the nominal
-        :data:`NOMINAL_BATCH_SECONDS`), so it is never 0."""
+        times :data:`NOMINAL_BATCH_SECONDS`, so it is never 0."""
         backlog_batches = -(-lane.load // self.max_batch)
-        return (
-            max(lane.window, NOMINAL_BATCH_SECONDS)
-            * max(1, backlog_batches)
-        )
+        return NOMINAL_BATCH_SECONDS * max(1, backlog_batches)
 
     def _count_failure(self) -> None:
         self.stats.failures += 1
@@ -469,23 +464,14 @@ class FrontEnd:
             self._idle.set()
 
     # -- batches -------------------------------------------------------------
-    def _flush(self, lane: _Lane, window_closed: bool = False) -> None:
-        """Seal and dispatch the lane's next batch once its backend is
-        free and its batch window has closed (at once while draining)."""
+    def _flush(self, lane: _Lane) -> None:
+        """Seal and dispatch the lane's next batch if its backend is free
+        and flights are queued (called on every admission and landing,
+        so a lane never waits on a timer)."""
         if lane.batch is not None or not lane.queue or not lane.alive:
             return
-        if lane.window > 0 and not window_closed and not self._draining:
-            if lane.timer is None:
-                # Hold the batch open briefly so concurrent arrivals
-                # share the executor submission.
-                lane.timer = asyncio.get_running_loop().call_later(
-                    lane.window, self._flush, lane, True
-                )
-            return
-        if lane.timer is not None:
-            lane.timer.cancel()
-            lane.timer = None
         now = time.monotonic()
+        waits = self.obs.metrics.histogram("serve.queue_wait_seconds")
         batch = []
         while lane.queue and len(batch) < self.max_batch:
             flight = lane.queue.popleft()
@@ -496,6 +482,7 @@ class FrontEnd:
                     flight, DeadlineExceeded(flight.key, flight.deadline_s)
                 )
                 continue
+            waits.observe(now - flight.admitted)
             batch.append(flight)
         if not batch:
             self._gauge_depth()
@@ -583,10 +570,6 @@ class StudyService(FrontEnd):
         abort its batchmates.
     max_pending:
         Admission bound on flights in the building (queued + executing).
-    batch_window:
-        Seconds an admitted flight waits for company before its batch is
-        sealed.  0 disables the wait (each batch takes whatever is
-        already queued).
     max_batch:
         Hard cap on flights per executor submission.
     obs:
@@ -598,18 +581,14 @@ class StudyService(FrontEnd):
         self,
         executor: Optional[ExperimentExecutor] = None,
         max_pending: int = 64,
-        batch_window: float = 0.005,
         max_batch: int = 16,
         obs: Optional[Observability] = None,
     ) -> None:
         super().__init__(max_pending, max_batch, obs, ServeStats())
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         self.executor = executor or ExperimentExecutor(
             workers=1, cache=True, keep_going=True
         )
-        self.batch_window = batch_window
-        self._lanes = [_Lane(batch_window, self.executor)]
+        self._lanes = [_Lane(self.executor)]
 
     def _route(self, key, t_start):
         return self._lanes[0], None

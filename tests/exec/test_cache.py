@@ -97,54 +97,54 @@ def test_put_then_get_returns_identical_result(tmp_path):
     cache = ResultCache(tmp_path)
     spec = make_spec(name="hand")
     r = hand_made_result()
-    cache.put(spec, r)
-    hit = cache.get(spec)
+    cache.put(spec_key(spec), r)
+    hit = cache.get(spec_key(spec), spec.name)
     assert hit is not None
     assert_results_identical(r, hit)
     assert len(cache) == 1
-    assert spec in cache
+    assert spec_key(spec) in cache
 
 
 def test_hit_rewrites_spec_name_to_the_request(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(make_spec(name="first-label"),
+    cache.put(spec_key(make_spec(name="first-label")),
               hand_made_result(name="first-label"))
-    hit = cache.get(make_spec(name="second-label"))
+    hit = cache.get(spec_key(make_spec(name="second-label")), "second-label")
     assert hit is not None
     assert hit.spec_name == "second-label"
 
 
 def test_stale_key_misses_and_recomputes_cleanly(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(make_spec(), hand_made_result())
-    assert cache.get(make_spec(sim_steps=2)) is None
-    assert cache.get(make_spec(n_nodes=4)) is None
+    cache.put(spec_key(make_spec()), hand_made_result())
+    for stale in (make_spec(sim_steps=2), make_spec(n_nodes=4)):
+        assert cache.get(spec_key(stale), stale.name) is None
 
 
 def test_corrupted_entry_reads_as_miss(tmp_path):
     cache = ResultCache(tmp_path)
     spec = make_spec()
-    path = cache.put(spec, hand_made_result())
+    path = cache.put(spec_key(spec), hand_made_result())
     path.write_text("{not json")
-    assert cache.get(spec) is None
+    assert cache.get(spec_key(spec), spec.name) is None
     path.write_text(json.dumps([1, 2, 3]))
-    assert cache.get(spec) is None
+    assert cache.get(spec_key(spec), spec.name) is None
 
 
 def test_format_mismatch_reads_as_miss(tmp_path):
     cache = ResultCache(tmp_path)
     spec = make_spec()
-    path = cache.put(spec, hand_made_result())
+    path = cache.put(spec_key(spec), hand_made_result())
     payload = json.loads(path.read_text())
     payload["format"] = CACHE_FORMAT + 1
     path.write_text(json.dumps(payload))
-    assert cache.get(spec) is None
+    assert cache.get(spec_key(spec), spec.name) is None
 
 
 def test_clear_removes_entries(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(make_spec(), hand_made_result())
-    cache.put(make_spec(sim_steps=2), hand_made_result())
+    cache.put(spec_key(make_spec()), hand_made_result())
+    cache.put(spec_key(make_spec(sim_steps=2)), hand_made_result())
     assert cache.clear() == 2
     assert len(cache) == 0
 
@@ -158,5 +158,5 @@ def test_entry_path_is_keyed_by_spec(tmp_path):
 def test_missing_root_is_an_empty_cache(tmp_path):
     cache = ResultCache(tmp_path / "never-created")
     assert len(cache) == 0
-    assert cache.get(make_spec()) is None
+    assert cache.get(spec_key(make_spec()), "x") is None
     assert cache.clear() == 0

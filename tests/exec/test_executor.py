@@ -85,6 +85,29 @@ def test_obs_gets_one_submit_marker_per_point_in_grid_order():
     assert any(s.name == "pipeline" for s in obs.spans.spans)
 
 
+def test_each_point_is_hashed_once_per_batch(tmp_path, monkeypatch):
+    """The executor keys every spec once and hands that key to the L2
+    lookup and write-back — a miss, its write and a later hit each cost
+    no further hash."""
+    import repro.exec.speckey as speckey
+
+    hashed = []
+    real_payload = speckey.canonical_spec_payload
+
+    def counting_payload(spec):
+        hashed.append(spec.name)
+        return real_payload(spec)
+
+    monkeypatch.setattr(speckey, "canonical_spec_payload", counting_payload)
+    specs = make_specs()
+    for _ in range(2):  # cold (miss + write), then warm (L2 hit)
+        hashed.clear()
+        ExperimentExecutor(
+            workers=1, cache=True, cache_dir=tmp_path
+        ).run_many(specs)
+        assert sorted(hashed) == sorted(s.name for s in specs)
+
+
 def test_cache_hits_skip_execution_entirely(tmp_path, monkeypatch):
     specs = make_specs()
     warm = ExperimentExecutor(workers=1, cache=True, cache_dir=tmp_path)

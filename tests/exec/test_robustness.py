@@ -47,7 +47,7 @@ def make_specs(n_nodes_list=(1, 2)):
 
 # -- read-only cache (satellite: cache writes are non-fatal) ------------------
 def test_unwritable_cache_degrades_to_a_warning(monkeypatch):
-    def deny(self, spec, result):
+    def deny(self, key, result):
         raise PermissionError("read-only cache")
 
     monkeypatch.setattr(ResultCache, "put", deny)

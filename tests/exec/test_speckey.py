@@ -175,21 +175,21 @@ def test_old_version_cache_entries_read_as_misses(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
     with monkeypatch.context() as m:
         m.setattr(speckey, "KEY_VERSION", KEY_VERSION - 1)
-        old_path = cache.put(spec, hand_made_result(spec.name))
+        old_path = cache.put(spec_key(spec), hand_made_result(spec.name))
     assert old_path.exists()
-    assert cache.get(spec) is None  # current version: never looked up
-    cache.put(spec, hand_made_result(spec.name))
-    assert cache.get(spec) is not None
+    key = spec_key(spec)
+    assert cache.get(key, spec.name) is None  # never looked up
+    cache.put(key, hand_made_result(spec.name))
+    assert cache.get(key, spec.name) is not None
     assert len(cache) == 2  # both files exist; only one is reachable
 
 
-def test_version_3_entries_read_as_misses(tmp_path, monkeypatch):
+def test_version_3_entries_read_as_misses(tmp_path):
     """v3 keys hashed a ``collective_fastpath`` field that no longer
     exists: an entry written under such a key must never be served."""
     import hashlib
     import json
 
-    import repro.exec.cache as cache_module
     from repro.exec.cache import ResultCache
 
     from .test_cache import hand_made_result
@@ -204,11 +204,9 @@ def test_version_3_entries_read_as_misses(tmp_path, monkeypatch):
     ).hexdigest()
     assert v3_key != spec_key(spec)
     cache = ResultCache(tmp_path)
-    with monkeypatch.context() as m:
-        m.setattr(cache_module, "spec_key", lambda _spec: v3_key)
-        assert cache.put(spec, hand_made_result(spec.name)).exists()
-    assert cache.get(spec) is None
-    assert spec not in cache
+    assert cache.put(v3_key, hand_made_result(spec.name)).exists()
+    assert cache.get(spec_key(spec), spec.name) is None
+    assert spec_key(spec) not in cache
 
 
 def test_set_elements_canonicalise_by_type_not_str():

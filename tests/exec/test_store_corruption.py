@@ -87,10 +87,10 @@ CORRUPTIONS = [
 def test_cache_corruption_reads_as_miss(tmp_path, label, mutate):
     cache = ResultCache(tmp_path)
     spec = make_spec()
-    path = cache.put(spec, hand_made_result())
+    path = cache.put(spec_key(spec), hand_made_result())
     payload = json.loads(path.read_text())
     path.write_text(mutate(payload, "result"))
-    assert cache.get(spec) is None, label
+    assert cache.get(spec_key(spec), spec.name) is None, label
 
 
 @pytest.mark.parametrize("label,mutate", CORRUPTIONS)
@@ -130,10 +130,10 @@ def test_intact_entries_still_round_trip(tmp_path):
     """The broadened except clauses must not turn real hits into misses."""
     cache = ResultCache(tmp_path / "c")
     spec = make_spec()
-    cache.put(spec, hand_made_result())
-    assert cache.get(spec) is not None
-    ckpt = SweepCheckpoint(tmp_path / "k")
     key = spec_key(spec)
+    cache.put(key, hand_made_result())
+    assert cache.get(key, spec.name) is not None
+    ckpt = SweepCheckpoint(tmp_path / "k")
     ckpt.store(key, hand_made_result(), spec.name)
     assert ckpt.load(key) is not None
 
@@ -154,7 +154,7 @@ def _orphan(root, name):
 
 def test_cache_clear_removes_tmp_orphans(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(make_spec(), hand_made_result())
+    cache.put(spec_key(make_spec()), hand_made_result())
     dead = _orphan(tmp_path, f"deadbeef.tmp.{DEAD_PID}")
     live = _orphan(tmp_path, f"cafef00d.tmp.{os.getpid()}")
     # clear() is an explicit wipe: entries AND every temp file go.
@@ -168,7 +168,7 @@ def test_cache_put_sweeps_stale_tmp_but_keeps_live_writers(tmp_path):
     unparseable = _orphan(tmp_path, "deadbeef.tmp.notapid")
     own = _orphan(tmp_path, f"cafef00d.tmp.{os.getpid()}")
     cache = ResultCache(tmp_path)
-    cache.put(make_spec(), hand_made_result())
+    cache.put(spec_key(make_spec()), hand_made_result())
     assert not dead.exists(), "orphan of a dead writer must be swept"
     assert not unparseable.exists(), "unparseable pid suffix is stale"
     assert own.exists(), "own-pid temp may be a concurrent write"

@@ -133,7 +133,6 @@ def test_cluster_matches_single_service_on_zipfian_mix():
         service = StudyService(
             executor=ExperimentExecutor(workers=1, l1=True, keep_going=True),
             max_pending=len(mix.universe),
-            batch_window=0.002,
         )
         async with service:
             report = await run_load(service, mix, concurrency=16)

@@ -9,6 +9,9 @@ either:
   :class:`DeadlineExceeded` both when the waiter's budget lapses and
   when a queued flight expires before its batch is sealed (the expired
   flight is never executed);
+- requests arriving while a lane is busy are sealed together as its
+  next batch, with the same batch/flight accounting and byte-equal
+  payloads on either front end;
 - only metrics cross from a batch's executor into the front end's sink,
   never per-point spans or records;
 - ``Overloaded.retry_after`` is one formula and never 0;
@@ -26,16 +29,24 @@ import threading
 
 import pytest
 
+import repro.exec.executor as executor_mod
+from repro.core.runner import ExperimentRunner
 from repro.exec import ExperimentExecutor, spec_key
 from repro.serve import (
     DeadlineExceeded,
     Overloaded,
+    ShardRouter,
     StudyCluster,
     StudyService,
     default_universe,
 )
 from repro.serve.cli import main
-from tests.serve.test_service import GateExecutor, small_spec
+from tests.serve.test_service import (
+    GatedExecutor,
+    GateExecutor,
+    run_behind_busy,
+    small_spec,
+)
 
 needs_fork = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -48,7 +59,7 @@ needs_fork = pytest.mark.skipif(
 def test_service_waiter_deadline_lapses_while_waiting():
     gate = threading.Event()
     executor = GateExecutor(gate=gate)
-    service = StudyService(executor=executor, batch_window=0.0)
+    service = StudyService(executor=executor)
     spec = small_spec()
 
     async def scenario():
@@ -70,7 +81,7 @@ def test_service_waiter_deadline_lapses_while_waiting():
 def test_service_queued_flight_expires_before_its_batch_is_sealed():
     gate = threading.Event()
     executor = GateExecutor(gate=gate)
-    service = StudyService(executor=executor, batch_window=0.0)
+    service = StudyService(executor=executor)
     busy, doomed = small_spec(nodes=1), small_spec(nodes=2)
 
     async def scenario():
@@ -108,25 +119,105 @@ def test_service_deadline_must_be_positive():
     asyncio.run(scenario())
 
 
+# -- self-clocked batching, on either front end ------------------------------
+
+def one_shard_specs(n):
+    """``n`` distinct specs that a 2-shard ring routes to one shard."""
+    router = ShardRouter(2)
+    by_shard: dict = {}
+    for spec in default_universe(4 * n, fig="fig3", nodes=4, sim_steps=1):
+        by_shard.setdefault(router.shard_for(spec_key(spec)), []).append(
+            spec
+        )
+    return max(by_shard.values(), key=len)[:n]
+
+
+def canonical(result) -> str:
+    return json.dumps(result.to_json_dict(), sort_keys=True)
+
+
+FRONT_ENDS = {
+    "service": lambda: StudyService(
+        executor=ExperimentExecutor(workers=1, l1=True, keep_going=True)
+    ),
+    "cluster": lambda: StudyCluster(shards=2),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_arrivals_at_a_busy_lane_seal_as_one_next_batch(
+    front_end, monkeypatch
+):
+    """While the owning lane runs a gated batch, N distinct arrivals
+    queue; they are sealed as one next batch the moment it lands.  Both
+    front ends account it the same way, and every payload is
+    byte-equal to a direct run of its spec — hence across the two."""
+    busy, *arrivals = one_shard_specs(4)
+    busy_key = spec_key(busy)
+    # Forked shard workers inherit the gate and the patched executor.
+    gate = mp.get_context("fork").Event()
+    real_execute = executor_mod._execute_spec
+
+    def gated_execute(spec, with_obs):
+        if spec_key(spec) == busy_key:
+            assert gate.wait(timeout=30), "test gate never opened"
+        return real_execute(spec, with_obs)
+
+    monkeypatch.setattr(executor_mod, "_execute_spec", gated_execute)
+    target = FRONT_ENDS[front_end]()
+
+    async def scenario():
+        async with target:
+            try:
+                first = asyncio.ensure_future(target.submit(busy))
+                await asyncio.sleep(0)  # busy's batch holds its lane
+                rest = asyncio.ensure_future(asyncio.gather(
+                    *(target.submit(s) for s in arrivals)
+                ))
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)  # every arrival queued
+                queued_behind = target.stats.batches
+            finally:
+                gate.set()
+            return queued_behind, [await first, *await rest]
+
+    queued_behind, results = asyncio.run(scenario())
+    assert queued_behind == 1
+    assert target.stats.batches == 2
+    assert target.stats.flights == 1 + len(arrivals)
+    assert target.stats.executed == 1 + len(arrivals)
+    metrics = target.obs.metrics
+    assert metrics.get("serve.batch_size").max == len(arrivals)
+    assert metrics.get("serve.queue_wait_seconds").count == (
+        target.stats.flights
+    )
+    direct = [canonical(ExperimentRunner().run(s)) for s in [busy, *arrivals]]
+    assert [canonical(r) for r in results] == direct
+
+
 # -- observability policy ----------------------------------------------------
 
 def test_service_sink_gets_exec_metrics_but_no_executor_traces():
-    executor = ExperimentExecutor(workers=1, keep_going=True)
-    service = StudyService(executor=executor, batch_window=0.01)
+    gate = threading.Event()
+    executor = GatedExecutor(
+        ExperimentExecutor(workers=1, keep_going=True), gate
+    )
+    service = StudyService(executor=executor)
     specs = [small_spec(nodes=1), small_spec(nodes=2)]
 
     async def replay():
         async with service:
-            await asyncio.gather(
-                *(service.submit(s) for s in specs * 3)
-            )
+            await run_behind_busy(service, gate, specs * 3)
 
     asyncio.run(replay())
-    assert service.obs.metrics.value_of("exec.submits") == 2
-    assert service.stats.executed == 2
+    # BUSY's batch, then both specs sealed together as the next one.
+    assert service.stats.batches == 2
+    assert service.obs.metrics.value_of("exec.submits") == 3
+    assert service.stats.executed == 3
     assert len(service.obs.records) == 0
     spans = service.obs.spans.by_category("serve")
-    assert len(spans) == len(service.obs.spans) == 6
+    assert len(spans) == len(service.obs.spans) == 7
     assert {s.name for s in spans} == {"serve.request"}
 
 
@@ -150,10 +241,7 @@ def test_retry_after_is_one_positive_formula_for_both_front_ends():
 
     gate = threading.Event()
     from_service = asyncio.run(hint(
-        StudyService(
-            executor=GateExecutor(gate=gate), max_pending=1,
-            batch_window=0.0,
-        ),
+        StudyService(executor=GateExecutor(gate=gate), max_pending=1),
         release=gate.set,
     ))
     from_cluster = asyncio.run(hint(StudyCluster(shards=1, max_pending=1)))
