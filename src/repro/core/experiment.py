@@ -139,5 +139,13 @@ class ExperimentSpec:
         return EndpointGranularity.RANK
 
     @property
+    def n_endpoints(self) -> int:
+        """Simulated MPI endpoints: one per node under NODE granularity,
+        else one per rank."""
+        if self.effective_granularity() is EndpointGranularity.NODE:
+            return self.n_nodes
+        return self.total_ranks
+
+    @property
     def is_bare_metal(self) -> bool:
         return self.runtime_name.lower() == "bare-metal"

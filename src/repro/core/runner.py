@@ -147,14 +147,10 @@ class ExperimentRunner:
         node_os = [NodeOS(spec.cluster, i) for i in range(spec.n_nodes)]
         outcome: dict = {}
 
-        granularity = spec.effective_granularity()
-        if granularity is EndpointGranularity.NODE:
-            n_endpoints = spec.n_nodes
-            endpoint_is_node = True
-        else:
-            n_endpoints = spec.total_ranks
-            endpoint_is_node = False
-        rankmap = RankMap(n_ranks=n_endpoints, n_nodes=spec.n_nodes)
+        endpoint_is_node = (
+            spec.effective_granularity() is EndpointGranularity.NODE
+        )
+        rankmap = RankMap(n_ranks=spec.n_endpoints, n_nodes=spec.n_nodes)
         comm = SimComm(
             env, cluster, rankmap, perf,
             tracer=obs.records if obs is not None else None,

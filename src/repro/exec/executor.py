@@ -4,22 +4,27 @@
 :class:`~repro.core.experiment.ExperimentSpec`\\ s (one grid, in the
 caller's canonical order), runs them — serially or across a
 :class:`concurrent.futures.ProcessPoolExecutor` — and returns the
-results *in the submission order*, so every downstream artefact (CSV,
-figure, observability digest) is byte-identical regardless of worker
-count.
+results *in grid order*, so every downstream artefact (CSV, figure,
+observability digest) is byte-identical regardless of worker count.
 
 Determinism contract
 --------------------
+- Pooled points are *dispatched* longest-first by the cost estimate
+  ``spec.n_endpoints × spec.sim_steps`` (ties in grid order), so a
+  grid's costliest points do not start last.  Results are *returned*,
+  cached and merged in grid order, so dispatch order never reaches an
+  output; fail-fast raises for the grid-first failing point whatever
+  order the failures were collected in.
 - Each grid point builds its own :class:`~repro.des.engine.Environment`
   and its own :class:`~repro.core.runner.ExperimentRunner`; nothing is
   shared between points (the runner's documented statelessness
   invariant).
 - When observability is requested, every *executed* point gets a fresh
   :class:`~repro.obs.span.Observability` whose spans/records/metrics are
-  merged into the caller's instance in submission order — the merge
-  order, not the completion order, defines the digest.  The serial path
-  does exactly the same per-point bookkeeping, so ``workers=1`` and
-  ``workers=N`` produce identical digests.
+  merged into the caller's instance in grid order — the merge order,
+  not the dispatch or completion order, defines the digest.  The
+  serial path does exactly the same per-point bookkeeping, so
+  ``workers=1`` and ``workers=N`` produce identical digests.
 - Executor markers (``exec.submit`` / ``exec.cache_hit`` /
   ``exec.failed``) are zero-duration spans at t=0 carrying only
   deterministic attributes (grid index, spec name, key) — never
@@ -254,16 +259,21 @@ class ExperimentExecutor:
         self,
         specs: Sequence[ExperimentSpec],
         obs: "Optional[Observability]" = None,
+        keys: Optional[Sequence[str]] = None,
     ) -> list[PointOutcome]:
         """Run every spec; outcomes come back in ``specs`` order.
 
         ``obs``, when given, receives one ``exec.submit`` /
         ``exec.cache_hit`` / ``exec.failed`` marker per point plus the
-        merged per-point traces, all in submission order.
+        merged per-point traces, all in ``specs`` order.  ``keys`` are
+        the specs' :func:`spec_key`\\ s when the caller already holds
+        them (a serving front end keys every request for single-flight);
+        without them the executor keys each spec itself.
         """
         specs = list(specs)
         self.stats.submitted += len(specs)
-        keys = [spec_key(s) for s in specs]
+        if keys is None:
+            keys = [spec_key(s) for s in specs]
 
         results: list[Optional[PointOutcome]] = [None] * len(specs)
         cached = [False] * len(specs)
@@ -385,17 +395,36 @@ class ExperimentExecutor:
     def _run_pooled(
         self, specs, keys, pending, with_obs, results, point_obs, attempts
     ) -> list[int]:
-        """One pool round; returns the indices needing a retry."""
+        """One pool round; returns the indices needing a retry, in grid
+        order.
+
+        Points are submitted longest-first (LPT list scheduling) by the
+        cost estimate ``n_endpoints × sim_steps``, ties in grid order
+        (the sort is stable and ``pending`` ascends), so the costliest
+        points never start last and leave one worker running the tail
+        alone.  Futures are collected in submission order.  Fail-fast
+        still names the grid-first failing point: after a deterministic
+        failure at grid index ``j`` only points before ``j`` are waited
+        for, the rest are cancelled, and the lowest failing index
+        raises.
+        """
         retry: list[int] = []
+        failed: dict[int, Exception] = {}
         n_workers = min(self.workers, len(pending))
+        order = sorted(
+            pending, key=lambda i: -specs[i].n_endpoints * specs[i].sim_steps
+        )
         pool = ProcessPoolExecutor(max_workers=n_workers)
         killed = False
         try:
             futures = [
                 (i, pool.submit(_execute_spec, specs[i], with_obs))
-                for i in pending
+                for i in order
             ]
             for i, future in futures:
+                if failed and not self.keep_going and i > min(failed):
+                    future.cancel()
+                    continue
                 try:
                     results[i], point_obs[i] = future.result(
                         timeout=self.timeout
@@ -413,13 +442,17 @@ class ExperimentExecutor:
                     retry.append(i)
                 except Exception as exc:
                     # Deterministic simulation failure — not retried.
-                    self._fail_point(
-                        results, i, specs[i], keys[i],
-                        type(exc).__name__, str(exc), attempts[i],
-                    )
+                    failed[i] = exc
         finally:
             pool.shutdown(wait=not killed, cancel_futures=True)
-        return retry
+        # Grid order: without keep_going the first call raises.
+        for i in sorted(failed):
+            exc = failed[i]
+            self._fail_point(
+                results, i, specs[i], keys[i],
+                type(exc).__name__, str(exc), attempts[i],
+            )
+        return sorted(retry)
 
     def _run_inline(
         self, specs, keys, pending, with_obs, results, point_obs, attempts

@@ -180,12 +180,15 @@ class ClusterStats(ServeStats):
 def _worker_main(conn, cfg: ShardConfig) -> None:
     """Shard worker: recv batches, run them, send outcomes, repeat.
 
-    Protocol (parent → worker): ``("run", [(seq, spec, remaining), …])``
-    where ``remaining`` is the request's leftover deadline budget in
-    seconds (or ``None``); ``("ping", token)`` answered with
-    ``("pong", token)`` — between batches *and* between execution
-    chunks mid-batch, so a busy worker stays visibly alive while a
-    wedged (stopped) process, which can answer nothing, does not;
+    Protocol (parent → worker): ``("run", [(seq, spec, key, remaining),
+    …])`` where ``key`` is the spec's
+    :func:`~repro.exec.speckey.spec_key`, computed once by the parent
+    for single-flight, and ``remaining`` is the request's leftover
+    deadline budget in seconds (or ``None``); ``("ping", token)``
+    answered with ``("pong", token)`` — between batches *and* between
+    execution chunks mid-batch, so a busy worker stays visibly alive
+    while a wedged (stopped) process, which can answer nothing, does
+    not;
     ``("shutdown",)`` answered with ``("bye", metrics_dump,
     exec_stats)``.  Every ``("done", replies, delta)`` carries the
     batch's exact executor-stat delta so the parent's accounting never
@@ -269,7 +272,7 @@ def _worker_main(conn, cfg: ShardConfig) -> None:
             for start in range(0, len(batch), step):
                 answer_pings()
                 chunk = []
-                for seq, spec, remaining in batch[start:start + step]:
+                for seq, spec, key, remaining in batch[start:start + step]:
                     if (
                         remaining is not None
                         and time.monotonic() - t_recv >= remaining
@@ -277,10 +280,12 @@ def _worker_main(conn, cfg: ShardConfig) -> None:
                         deadline_c.inc()
                         replies.append((seq, "deadline", None))
                     else:
-                        chunk.append((seq, spec))
+                        chunk.append((seq, spec, key))
                 if chunk:
-                    outcomes = executor.run_many([s for _, s in chunk])
-                    for (seq, _), outcome in zip(chunk, outcomes):
+                    outcomes = executor.run_many(
+                        [s for _, s, _ in chunk], keys=[k for *_, k in chunk]
+                    )
+                    for (seq, *_), outcome in zip(chunk, outcomes):
                         replies.append(encode(seq, outcome))
             delta = executor.stats.delta(before)
             executed_c.inc(delta["executed"])
@@ -659,7 +664,10 @@ class StudyCluster(FrontEnd):
         now = time.monotonic()
         # A reply names its flight by index into the batch.
         wire = [
-            (i, f.spec, None if f.deadline is None else f.deadline - now)
+            (
+                i, f.spec, f.key,
+                None if f.deadline is None else f.deadline - now,
+            )
             for i, f in enumerate(batch)
         ]
         try:

@@ -505,6 +505,7 @@ class FrontEnd:
     async def _run_local(self, lane: _Lane, batch: list) -> None:
         executor = lane.executor
         specs = [f.spec for f in batch]
+        keys = [f.key for f in batch]
         # run_many blocks, so it runs on a thread and writes into its
         # own batch Observability.  Only the batch's metrics (the exec.*
         # counters) are folded into the front end's sink, on the loop
@@ -514,7 +515,8 @@ class FrontEnd:
         before = executor.stats.snapshot()
         try:
             outcomes = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: executor.run_many(specs, obs=batch_obs)
+                None,
+                lambda: executor.run_many(specs, obs=batch_obs, keys=keys),
             )
         except Exception as exc:  # fail-fast executor or infra error
             detail = f"batch execution failed: {type(exc).__name__}: {exc}"
@@ -563,7 +565,7 @@ class StudyService(FrontEnd):
     ----------
     executor:
         The :class:`ExperimentExecutor` driving the actual simulations
-        (anything with its ``run_many(specs, obs=)`` and
+        (anything with its ``run_many(specs, obs=, keys=)`` and
         :class:`~repro.exec.executor.ExecStats` ``stats``).  Defaults to
         a serial, cached, ``keep_going`` executor — ``keep_going``
         matters: one failing spec must annotate its own flight, not

@@ -104,6 +104,51 @@ def test_granularity_boundary_is_exactly_the_limit():
     assert past.effective_granularity() is EndpointGranularity.NODE
 
 
+def test_n_endpoints_follows_granularity():
+    """One endpoint per rank under RANK, one per node under NODE, and
+    AUTO resolves against the limit: at it per-rank, past it per-node."""
+    assert make_spec(granularity=EndpointGranularity.RANK).n_endpoints == 112
+    assert make_spec(granularity=EndpointGranularity.NODE).n_endpoints == 4
+
+    def mn4(n_nodes):
+        return make_spec(
+            cluster=catalog.MARENOSTRUM4,
+            n_nodes=n_nodes,
+            ranks_per_node=2,
+            granularity=EndpointGranularity.AUTO,
+        )
+
+    at_limit = mn4(RANK_ENDPOINT_LIMIT // 2)  # 256 ranks on 128 nodes
+    assert at_limit.n_endpoints == at_limit.total_ranks == RANK_ENDPOINT_LIMIT
+    past = mn4(RANK_ENDPOINT_LIMIT // 2 + 1)  # 258 ranks on 129 nodes
+    assert past.n_endpoints == past.n_nodes == 129
+
+
+@pytest.mark.parametrize(
+    "fig, per", [("fig1", "total_ranks"), ("fig3", "n_nodes")]
+)
+def test_runner_rankmap_has_n_endpoints(fig, per, monkeypatch):
+    """The runner sizes its RankMap by ``n_endpoints``: every rank for
+    a fig1 spec, one endpoint per node for a fig3 spec."""
+    import repro.core.runner as runner_mod
+    from repro.core.runner import ExperimentRunner
+    from repro.serve import build_spec
+
+    made = []
+    real = runner_mod.RankMap
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(runner_mod, "RankMap", recording)
+    spec = build_spec(fig, nodes=4, sim_steps=1)
+    assert spec.n_nodes != spec.total_ranks
+    ExperimentRunner().run(spec)
+    assert [m.n_ranks for m in made] == [spec.n_endpoints]
+    assert spec.n_endpoints == getattr(spec, per)
+
+
 def test_calibration_covers_all_clusters():
     for spec in (catalog.LENOX, catalog.MARENOSTRUM4, catalog.CTE_POWER,
                  catalog.THUNDERX):

@@ -12,6 +12,8 @@ either:
 - requests arriving while a lane is busy are sealed together as its
   next batch, with the same batch/flight accounting and byte-equal
   payloads on either front end;
+- a served spec is hashed once, by the front end, and the key it hands
+  the executor (in process or in a shard worker) is its spec's key;
 - only metrics cross from a batch's executor into the front end's sink,
   never per-point spans or records;
 - ``Overloaded.retry_after`` is one formula and never 0;
@@ -194,6 +196,73 @@ def test_arrivals_at_a_busy_lane_seal_as_one_next_batch(
     )
     direct = [canonical(ExperimentRunner().run(s)) for s in [busy, *arrivals]]
     assert [canonical(r) for r in results] == direct
+
+
+# -- one spec_key per served request ----------------------------------------
+
+def serve_all(target, specs):
+    async def scenario():
+        async with target:
+            return await asyncio.gather(*(target.submit(s) for s in specs))
+
+    return asyncio.run(scenario())
+
+
+@needs_fork
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_each_served_request_is_hashed_once(front_end, tmp_path, monkeypatch):
+    """The front end keys a request once for single-flight and hands
+    that key down: the executor, in process or in a shard worker, does
+    not hash the spec again.  Calls are logged to a file so forked
+    workers' hashes count too."""
+    import repro.exec.speckey as speckey
+
+    specs = default_universe(4, fig="fig3", nodes=4, sim_steps=1)
+    log = tmp_path / "hashed"
+    real_payload = speckey.canonical_spec_payload
+
+    def counting_payload(spec):
+        with open(log, "a") as fh:
+            fh.write(spec.name + "\n")
+        return real_payload(spec)
+
+    monkeypatch.setattr(speckey, "canonical_spec_payload", counting_payload)
+    serve_all(FRONT_ENDS[front_end](), specs)
+    assert sorted(log.read_text().split()) == sorted(s.name for s in specs)
+
+
+@needs_fork
+@pytest.mark.parametrize("corrupt", [False, True], ids=["honest", "corrupt"])
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_keys_handed_to_the_executor_match_their_specs(
+    front_end, corrupt, tmp_path, monkeypatch
+):
+    """Every key a front end hands ``run_many`` is its spec's
+    ``spec_key``: the check re-keys each spec against the real hash and
+    logs the verdict (from forked workers too).  The ``corrupt`` arm
+    salts the front end's key and shows the check catches a key that
+    disagrees with its spec."""
+    import repro.serve.service as service_mod
+    from repro.exec import speckey
+
+    log = tmp_path / "verdicts"
+    real_run_many = ExperimentExecutor.run_many
+
+    def checked_run_many(self, specs, obs=None, keys=None):
+        with open(log, "a") as fh:
+            for spec, key in zip(specs, keys):
+                fh.write(f"{key == speckey.spec_key(spec)}\n")
+        return real_run_many(self, specs, obs=obs, keys=keys)
+
+    monkeypatch.setattr(ExperimentExecutor, "run_many", checked_run_many)
+    if corrupt:
+        monkeypatch.setattr(
+            service_mod, "spec_key", lambda spec: "salted-" + spec_key(spec)
+        )
+    # One shard's specs: the later two share a batch on either front end.
+    specs = one_shard_specs(3)
+    serve_all(FRONT_ENDS[front_end](), specs)
+    assert log.read_text().split() == [str(not corrupt)] * len(specs)
 
 
 # -- observability policy ----------------------------------------------------

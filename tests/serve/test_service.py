@@ -73,7 +73,7 @@ class GateExecutor:
         #: Set when a batch reaches ``run_many``.
         self.entered = threading.Event()
 
-    def run_many(self, specs, obs=None):
+    def run_many(self, specs, obs=None, keys=None):
         self.entered.set()
         if self.gate is not None:
             assert self.gate.wait(timeout=30), "test gate never opened"
@@ -101,9 +101,9 @@ class GatedExecutor:
         self.gate = gate
         self.stats = inner.stats
 
-    def run_many(self, specs, obs=None):
+    def run_many(self, specs, obs=None, keys=None):
         assert self.gate.wait(timeout=30), "test gate never opened"
-        return self.inner.run_many(specs, obs=obs)
+        return self.inner.run_many(specs, obs=obs, keys=keys)
 
 
 #: The spec that holds a lane busy while the requests under test queue.
